@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build bench bench-json bench-smoke race serve-bench chaos cover cover-check trace-smoke scale-smoke bench-scale lifecycle-smoke
+.PHONY: check test build loc bench bench-json bench-smoke race serve-bench chaos cover cover-check trace-smoke scale-smoke bench-scale lifecycle-smoke
 
 ## check: tier-1 gate — build everything, vet it, run every test.
 check:
@@ -13,6 +13,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+## loc: the program's size — non-test and test Go lines, outside the
+## benchmark (perfbench/) and its build directory.
+GO_FILES = find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go'
+loc:
+	@printf 'non-test %s\n' "$$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 ## bench: the perf-tracked benchmarks (training engine, batch prediction,
 ## Table 1 reproduction, full pipeline run). Record deltas in CHANGES.md.

@@ -114,7 +114,6 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 	}
 
 	opts := core.DefaultOptions()
-	opts.StreamMining = true
 	opts.Workers = workers
 	opts.Seed = seed
 	opts.MaxGraphSeeds = 1200

@@ -11,6 +11,7 @@ import (
 	"crossmodal/internal/model"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
+	"crossmodal/internal/trace"
 )
 
 // testEnv caches one world/library/dataset across tests (building them is
@@ -64,6 +65,22 @@ func smallOptions() Options {
 	return o
 }
 
+// traceSpans installs a fresh process-wide tracer for the rest of the test
+// and returns a function reporting which span names it has recorded.
+func traceSpans(t *testing.T) func() map[string]bool {
+	t.Helper()
+	tr := trace.New()
+	trace.SetDefault(tr)
+	t.Cleanup(func() { trace.SetDefault(nil) })
+	return func() map[string]bool {
+		names := make(map[string]bool)
+		for _, n := range tr.SpanNames() {
+			names[n] = true
+		}
+		return names
+	}
+}
+
 func runPipeline(t *testing.T, opts Options) (*Pipeline, *Result) {
 	t.Helper()
 	lib, ds := testEnv(t)
@@ -83,6 +100,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Skip("integration test")
 	}
 	_, ds := testEnv(t)
+	spans := traceSpans(t)
 	p, res := runPipeline(t, smallOptions())
 
 	if res.Report.LFCount == 0 {
@@ -103,9 +121,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if auprc < 3*base {
 		t.Errorf("cross-modal AUPRC %.3f should clearly beat base rate %.3f", auprc, base)
 	}
-	for _, stage := range []string{"featurize", "lf-generation", "lf-apply", "label-propagation", "label-model", "train"} {
-		if _, ok := res.Report.Timings[stage]; !ok {
-			t.Errorf("missing timing for stage %q", stage)
+	names := spans()
+	for _, stage := range []string{"featurize", "mining", "lf.apply", "labelprop", "labelmodel", "train"} {
+		if !names[stage] {
+			t.Errorf("missing span for stage %q", stage)
 		}
 	}
 }
@@ -388,6 +407,7 @@ func TestCurationSkipsWSWithoutImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := traceSpans(t)
 	cur, err := p.Curate(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +415,7 @@ func TestCurationSkipsWSWithoutImage(t *testing.T) {
 	if cur.Report.LFCount != 0 || cur.Report.WSCoverage != 0 {
 		t.Error("text-only curation should skip weak supervision")
 	}
-	if _, ok := cur.Report.Timings["lf-generation"]; ok {
+	if spans()["mining"] {
 		t.Error("text-only curation should not run LF generation")
 	}
 }

@@ -39,12 +39,12 @@ func TestDiagnostics(t *testing.T) {
 
 	// Image-side LF quality against hidden truth.
 	imgVecs, _ := p.Featurize(ctx, ds.UnlabeledImage)
-	lfSchema := p.lib.Schema().Sets(p.opts.LFSets...)
+	lfSchema := p.lfSchema
 	imgLabels := synth.Labels(ds.UnlabeledImage)
-	lfs, _, _ := p.buildLFs(ctx, reprojectAll(imgVecs, lfSchema), imgLabels) // re-mine on image for reference only
+	lfs, _, _ := p.buildLFs(ctx, newMemSource(imgVecs, imgLabels, lfSchema), lfSchema) // re-mine on image for reference only
 	_ = lfs
 	textVecs, _ := p.Featurize(ctx, ds.LabeledText)
-	textLFs, _, _ := p.buildLFs(ctx, reprojectAll(textVecs, lfSchema), synth.Labels(ds.LabeledText))
+	textLFs, _, _ := p.buildLFs(ctx, newMemSource(textVecs, synth.Labels(ds.LabeledText), lfSchema), lfSchema)
 	m2, _ := lf.Apply(ctx, mapreduce.Config{}, textLFs, reprojectAll(imgVecs, lfSchema))
 	fmt.Println("image-side quality of text-mined LFs:")
 	for _, s := range lf.EvaluateAll(m2, imgLabels) {

@@ -63,8 +63,6 @@ type Options struct {
 
 	// LFSource selects mined or simulated-expert LFs. Default MinedLFs.
 	LFSource LFSource
-	// Expert configures the simulated expert when LFSource is ExpertLFs.
-	Expert *struct{}
 
 	// UseLabelProp augments mined LFs with a label-propagation LF (§4.4).
 	// Default true.
@@ -101,15 +99,15 @@ type Options struct {
 	MaxGraphSeeds, GraphDevNodes int
 	// PosCutLift is the dev-set precision target for the positive
 	// propagation-score cut, as a multiple of the dev positive rate
-	// (clamped to [0.15, 0.8]); NegCutPrecision is the absolute precision
+	// (clamped to [0.03, 0.8]); NegCutPrecision is the absolute precision
 	// target for the negative cut. Defaults 6 and 0.97.
 	PosCutLift, NegCutPrecision float64
 
-	// StreamMining routes mined-LF discovery through mining.MineStream over
-	// a chunked view of the dev corpus instead of the one-shot mining.Mine
-	// call. Results are identical (MineStream's contract); the lifecycle
-	// controller turns this on so retraining exercises the same streamed
-	// path a production re-mine over the disk store would.
+	// StreamMining is ignored: mining always runs through
+	// mining.MineStream, of which a one-shot mining.Mine is the single-chunk
+	// case.
+	//
+	// Deprecated: curation is identical with or without it.
 	StreamMining bool
 
 	// MaxVocab caps one-hot vocabularies in the end model (default 0:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/fusion"
@@ -26,6 +25,10 @@ import (
 type Pipeline struct {
 	lib  *resource.Library
 	opts Options
+	// lfSchema is the feature space LFs may read: the LF sets, including
+	// nonservable features (LFs run offline, §4.1). It is derived once so
+	// that a corpus projected into it up front is recognised by pointer.
+	lfSchema *feature.Schema
 }
 
 // NewPipeline builds a pipeline. Options zero values fall back to defaults.
@@ -37,7 +40,7 @@ func NewPipeline(lib *resource.Library, opts Options) (*Pipeline, error) {
 	if lib == nil {
 		return nil, fmt.Errorf("core: nil resource library")
 	}
-	return &Pipeline{lib: lib, opts: opts}, nil
+	return &Pipeline{lib: lib, opts: opts, lfSchema: lib.Schema().Sets(opts.LFSets...)}, nil
 }
 
 // Options returns the pipeline's resolved options.
@@ -63,12 +66,6 @@ func (p *Pipeline) EndSchema() *feature.Schema {
 		sets = append(sets, resource.ImageSet, resource.TextSet)
 	}
 	return p.lib.Schema().Sets(sets...).Servable()
-}
-
-// lfSchema returns the feature space LFs may read: the LF sets, including
-// nonservable features (LFs run offline, §4.1).
-func (p *Pipeline) lfSchema() *feature.Schema {
-	return p.lib.Schema().Sets(p.opts.LFSets...)
 }
 
 // graphSchema returns the feature space used for propagation-graph edges:
@@ -133,8 +130,6 @@ type Report struct {
 	// truth of the unlabeled corpus — the paper's Table 3 metrics. These
 	// are diagnostics: the pipeline itself never trains on this truth.
 	WSPrecision, WSRecall, WSF1, WSCoverage float64
-	// Timings per stage.
-	Timings map[string]time.Duration
 }
 
 // Run executes the full pipeline on a dataset and returns the trained
@@ -150,12 +145,10 @@ func (p *Pipeline) Run(ctx context.Context, ds *synth.Dataset) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	predictor, err := p.Train(ctx, cur, p.DefaultTrainSpec())
 	if err != nil {
 		return nil, err
 	}
-	cur.Report.Timings["train"] = time.Since(start)
 	return &Result{
 		Predictor:  predictor,
 		Curation:   cur,
@@ -174,11 +167,8 @@ func (p *Pipeline) Curate(ctx context.Context, ds *synth.Dataset) (*Curation, er
 	}
 	ctx, curSpan := trace.Start(ctx, "pipeline.curate")
 	defer curSpan.End()
-	timings := make(map[string]time.Duration)
-	stage := func(name string, start time.Time) { timings[name] = time.Since(start) }
 
 	// --- Stage A: feature generation (§3) ---
-	start := time.Now()
 	textVecs, err := p.Featurize(ctx, ds.LabeledText)
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize text: %w", err)
@@ -187,41 +177,96 @@ func (p *Pipeline) Curate(ctx context.Context, ds *synth.Dataset) (*Curation, er
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize image: %w", err)
 	}
-	stage("featurize", start)
-	textLabels := synth.Labels(ds.LabeledText)
-
-	report := Report{Task: ds.Task.Name, Timings: timings}
-	if !p.opts.UseImage {
-		// Text-only configuration: no new-modality corpus to curate.
-		return &Curation{
-			Dataset:    ds,
-			TextVecs:   textVecs,
-			ImageVecs:  imageVecs,
-			TextLabels: textLabels,
-			ProbLabels: make([]float64, len(imageVecs)),
-			Covered:    make([]bool, len(imageVecs)),
-			Report:     report,
-		}, nil
-	}
+	cur := &Curation{Dataset: ds, TextVecs: textVecs, ImageVecs: imageVecs, TextLabels: synth.Labels(ds.LabeledText)}
 
 	// --- Stage B: training data curation (§4) ---
-	lfSchema := p.lfSchema()
-	lfTextVecs := reprojectAll(textVecs, lfSchema)
-	lfImageVecs := reprojectAll(imageVecs, lfSchema)
-
-	start = time.Now()
-	lfs, miningReport, err := p.buildLFs(ctx, lfTextVecs, textLabels)
+	text := newMemSource(textVecs, cur.TextLabels, p.lfSchema)
+	image := newMemSource(imageVecs, synth.Labels(ds.UnlabeledImage), p.lfSchema)
+	cur.ProbLabels, cur.Covered, cur.Report, err = p.curate(ctx, ds.Task.Name, text, image, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	stage("lf-generation", start)
+	return cur, nil
+}
 
-	start = time.Now()
+// corpusSource is one corpus as the shared curation stages read it: the
+// slices Curate featurized (memSource) or a disk feature store
+// (storeSource).
+type corpusSource interface {
+	// labels returns every row's label in row order; for the unlabeled
+	// corpus these are the hidden truth, read only for WS diagnostics.
+	labels() []int8
+	// scan calls fn on the first limit rows (every row when limit <= 0) in
+	// row order, one chunk at a time, reprojected into schema. stage tags
+	// the chunk for StreamOptions.ChunkHook.
+	scan(ctx context.Context, schema *feature.Schema, limit int, stage string, fn func(vecs []*feature.Vector, labels []int8) error) error
+	// fetch returns the rows at idx, in idx order, reprojected into schema.
+	fetch(ctx context.Context, schema *feature.Schema, idx []int) ([]*feature.Vector, error)
+}
+
+// memSource is an in-memory corpus: one chunk, reprojected once per schema
+// (the stages read each schema in a run, then move on to the next).
+type memSource struct {
+	vecs      []*feature.Vector
+	rowLabels []int8
+	projected *feature.Schema
+	proj      []*feature.Vector
+}
+
+// newMemSource returns vecs as a source already projected into schema, the
+// LF space the stages read first, so that one pass over the corpus happens
+// before the stages start.
+func newMemSource(vecs []*feature.Vector, labels []int8, schema *feature.Schema) *memSource {
+	return &memSource{vecs: vecs, rowLabels: labels, projected: schema, proj: reprojectAll(vecs, schema)}
+}
+
+func (s *memSource) labels() []int8 { return s.rowLabels }
+
+func (s *memSource) scan(_ context.Context, schema *feature.Schema, limit int, _ string, fn func([]*feature.Vector, []int8) error) error {
+	if s.projected != schema {
+		s.projected, s.proj = schema, reprojectAll(s.vecs, schema)
+	}
+	vecs, labels := s.proj, s.rowLabels
+	if limit > 0 && limit < len(vecs) {
+		vecs, labels = vecs[:limit], labels[:limit]
+	}
+	return fn(vecs, labels)
+}
+
+func (s *memSource) fetch(_ context.Context, schema *feature.Schema, idx []int) ([]*feature.Vector, error) {
+	out := make([]*feature.Vector, len(idx))
+	for i, ti := range idx {
+		out[i] = s.vecs[ti].Reproject(schema)
+	}
+	return out, nil
+}
+
+// curate runs the weak-supervision stages (§4) that Curate and
+// CurateStreamed share over the labeled text corpus and the unlabeled image
+// corpus: LF mining, LF application and dedup, label propagation over the
+// first graphWindow image rows (0: all), denoising, and the WS quality
+// diagnostics. warm re-propagates after every graph delta.
+func (p *Pipeline) curate(ctx context.Context, task string, text, image corpusSource, graphWindow int, warm bool) ([]float64, []bool, Report, error) {
+	report := Report{Task: task}
+	nImages := len(image.labels())
+	if !p.opts.UseImage {
+		// Text-only configuration: no new-modality corpus to curate.
+		return make([]float64, nImages), make([]bool, nImages), report, nil
+	}
+	textLabels := text.labels()
+	lfSchema := p.lfSchema
+	mrCfg := mapreduce.Config{Workers: p.opts.Workers}
+
+	lfs, miningReport, err := p.buildLFs(ctx, text, lfSchema)
+	if err != nil {
+		return nil, nil, report, err
+	}
+
 	applyCtx, applySpan := trace.Start(ctx, "lf.apply")
-	devMatrix, err := lf.Apply(applyCtx, mapreduce.Config{Workers: p.opts.Workers}, lfs, lfTextVecs)
+	devMatrix, err := applyLFs(applyCtx, mrCfg, lfs, text, lfSchema, "lf-apply:text")
 	if err != nil {
 		applySpan.End()
-		return nil, fmt.Errorf("core: apply LFs to dev: %w", err)
+		return nil, nil, report, fmt.Errorf("core: apply LFs to dev: %w", err)
 	}
 	// Drop LFs that near-duplicate a better LF on the dev set: distinct
 	// services often observe the same latent attribute, and duplicated
@@ -232,50 +277,56 @@ func (p *Pipeline) Curate(ctx context.Context, ds *synth.Dataset) (*Curation, er
 	}
 	applySpan.Add("lfs_kept", int64(len(lfs)))
 	applySpan.Add("lfs_rejected", int64(mined-len(lfs)))
-	matrix, err := lf.Apply(applyCtx, mapreduce.Config{Workers: p.opts.Workers}, lfs, lfImageVecs)
+	matrix, err := applyLFs(applyCtx, mrCfg, lfs, image, lfSchema, "lf-apply:image")
 	applySpan.End()
 	if err != nil {
-		return nil, fmt.Errorf("core: apply LFs: %w", err)
+		return nil, nil, report, fmt.Errorf("core: apply LFs: %w", err)
 	}
-	stage("lf-apply", start)
 
 	report.Mining = miningReport
 	report.DevStats = lf.EvaluateAll(devMatrix, textLabels)
 
 	if p.opts.UseLabelProp {
-		start = time.Now()
 		lpCtx, lpSpan := trace.Start(ctx, "labelprop")
-		cuts, iters, err := p.propagate(lpCtx, textVecs, textLabels, imageVecs, matrix, devMatrix)
+		cuts, iters, err := p.propagateGraph(lpCtx, text, image, graphWindow, warm, matrix, devMatrix)
 		lpSpan.End()
 		if err != nil {
-			return nil, err
+			return nil, nil, report, err
 		}
 		report.Cuts, report.PropIters = cuts, iters
-		stage("label-propagation", start)
 	}
 	report.LFCount = matrix.NumLFs()
 
-	start = time.Now()
 	lmCtx, lmSpan := trace.Start(ctx, "labelmodel")
 	probs, covered, lm, err := p.denoise(lmCtx, matrix, devMatrix, textLabels)
 	lmSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, report, err
 	}
 	report.LabelModel = lm
-	stage("label-model", start)
 	report.WSCoverage = coverageRate(covered)
-	report.WSPrecision, report.WSRecall, report.WSF1 = wsQuality(probs, covered, ds.UnlabeledImage, metrics.BaseRate(textLabels))
+	report.WSPrecision, report.WSRecall, report.WSF1 = wsQuality(probs, covered, image.labels(), metrics.BaseRate(textLabels))
+	return probs, covered, report, nil
+}
 
-	return &Curation{
-		Dataset:    ds,
-		TextVecs:   textVecs,
-		ImageVecs:  imageVecs,
-		TextLabels: textLabels,
-		ProbLabels: probs,
-		Covered:    covered,
-		Report:     report,
-	}, nil
+// applyLFs applies LFs to a corpus chunk by chunk, concatenating the
+// per-chunk vote matrices — identical to one lf.Apply over the whole corpus
+// because votes are per-point.
+func applyLFs(ctx context.Context, mrCfg mapreduce.Config, lfs []*lf.LF, src corpusSource, schema *feature.Schema, stage string) (*lf.Matrix, error) {
+	var matrix *lf.Matrix
+	err := src.scan(ctx, schema, 0, stage, func(vecs []*feature.Vector, _ []int8) error {
+		m, err := lf.Apply(ctx, mrCfg, lfs, vecs)
+		if err != nil {
+			return err
+		}
+		if matrix == nil {
+			matrix = m
+		} else {
+			matrix.Votes = append(matrix.Votes, m.Votes...)
+		}
+		return nil
+	})
+	return matrix, err
 }
 
 // dedupeLFs greedily keeps LFs in descending dev-quality order, dropping
@@ -361,28 +412,41 @@ func reprojectAll(vecs []*feature.Vector, schema *feature.Schema) []*feature.Vec
 	return out
 }
 
+// devCorpus presents the labeled corpus, reprojected into the LF schema, to
+// mining.MineStream; mining.Mine is its single-chunk case.
+type devCorpus struct {
+	src    corpusSource
+	schema *feature.Schema
+}
+
+func (c devCorpus) Schema() *feature.Schema { return c.schema }
+
+func (c devCorpus) Scan(ctx context.Context, fn func([]*feature.Vector, []int8) error) error {
+	return c.src.scan(ctx, c.schema, 0, "mine", fn)
+}
+
 // buildLFs generates labeling functions from the labeled old-modality corpus
 // per the configured source.
-func (p *Pipeline) buildLFs(ctx context.Context, devVecs []*feature.Vector, devLabels []int8) ([]*lf.LF, mining.Report, error) {
+func (p *Pipeline) buildLFs(ctx context.Context, dev corpusSource, schema *feature.Schema) ([]*lf.LF, mining.Report, error) {
+	corpus := devCorpus{src: dev, schema: schema}
 	switch p.opts.LFSource {
 	case ExpertLFs:
+		var vecs []*feature.Vector
+		if err := corpus.Scan(ctx, func(chunk []*feature.Vector, _ []int8) error {
+			vecs = append(vecs, chunk...)
+			return nil
+		}); err != nil {
+			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
+		}
 		expert := lf.DefaultExpert()
 		rng := xrand.New(p.opts.Seed ^ 0xe4be27)
-		lfs, err := expert.Develop(devVecs, devLabels, rng)
+		lfs, err := expert.Develop(vecs, dev.labels(), rng)
 		if err != nil {
 			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
 		}
 		return lfs, mining.Report{}, nil
 	default:
-		if p.opts.StreamMining {
-			corpus := &chunkedCorpus{vecs: devVecs, labels: devLabels, chunk: 2048}
-			lfs, rep, err := mining.MineStream(ctx, mapreduce.Config{Workers: p.opts.Workers}, p.opts.Mining, corpus)
-			if err != nil {
-				return nil, rep, fmt.Errorf("core: mine LFs (streamed): %w", err)
-			}
-			return lfs, rep, nil
-		}
-		lfs, rep, err := mining.Mine(ctx, mapreduce.Config{Workers: p.opts.Workers}, p.opts.Mining, devVecs, devLabels)
+		lfs, rep, err := mining.MineStream(ctx, mapreduce.Config{Workers: p.opts.Workers}, p.opts.Mining, corpus)
 		if err != nil {
 			return nil, rep, fmt.Errorf("core: mine LFs: %w", err)
 		}
@@ -390,13 +454,13 @@ func (p *Pipeline) buildLFs(ctx context.Context, devVecs []*feature.Vector, devL
 	}
 }
 
-// graphSplit deterministically splits the labeled corpus into propagation
-// seed indices and held-out cut-tuning indices. Both the in-memory and the
-// streamed curation paths derive their node layout from this one split.
-func (p *Pipeline) graphSplit(nText int) (seedIdx, devIdx []int, err error) {
+// graphSplit deterministically splits the labeled corpus into the text rows
+// that join the propagation graph: the first nSeeds are seeds, the rest are
+// held out, unseeded, to tune the score cuts.
+func (p *Pipeline) graphSplit(nText int) (textIdx []int, nSeeds int, err error) {
 	rng := xrand.New(p.opts.Seed ^ 0x9a6b)
 	perm := rng.Perm(nText)
-	nSeeds := min(p.opts.MaxGraphSeeds, len(perm))
+	nSeeds = min(p.opts.MaxGraphSeeds, len(perm))
 	nDev := min(p.opts.GraphDevNodes, len(perm)-nSeeds)
 	if nDev == 0 && len(perm) >= 8 {
 		// Small corpus: split three quarters seeds, one quarter dev.
@@ -404,9 +468,9 @@ func (p *Pipeline) graphSplit(nText int) (seedIdx, devIdx []int, err error) {
 		nDev = len(perm) - nSeeds
 	}
 	if nSeeds == 0 || nDev == 0 {
-		return nil, nil, fmt.Errorf("core: labeled corpus too small for propagation (%d points)", nText)
+		return nil, 0, fmt.Errorf("core: labeled corpus too small for propagation (%d points)", nText)
 	}
-	return perm[:nSeeds], perm[nSeeds : nSeeds+nDev], nil
+	return perm[:nSeeds+nDev], nSeeds, nil
 }
 
 // tunePropCuts turns held-out propagation scores into vote thresholds.
@@ -474,37 +538,61 @@ func appendPropLF(matrix, devMatrix *lf.Matrix, cuts labelprop.Cuts, imageScores
 	return nil
 }
 
-// propagate runs label propagation from labeled text seeds through the
-// common-feature graph to the unlabeled image corpus, tunes vote cuts on
-// held-out text, and appends the resulting score LF to the image matrix.
-func (p *Pipeline) propagate(ctx context.Context, textVecs []*feature.Vector, textLabels []int8, imageVecs []*feature.Vector, matrix, devMatrix *lf.Matrix) (labelprop.Cuts, int, error) {
+// propagateGraph runs label propagation (§4.4) from labeled text seeds
+// through the common-feature graph to the first window image rows (0: all),
+// tunes vote cuts on held-out text, and appends the resulting score LF to
+// both vote matrices; image rows past the window abstain. Scales are fitted
+// with the two-pass accumulator and the graph grows by one Builder delta per
+// image chunk, the text nodes joining the first: node order is seeds, dev,
+// images, and both are bit-identical to FitScales and BuildGraph over the
+// assembled nodes, so an in-memory corpus and any chunking of a store yield
+// the same scores.
+func (p *Pipeline) propagateGraph(ctx context.Context, text, image corpusSource, window int, warm bool, matrix, devMatrix *lf.Matrix) (labelprop.Cuts, int, error) {
 	gSchema := p.graphSchema()
-	seedIdx, devIdx, err := p.graphSplit(len(textVecs))
+	textLabels := text.labels()
+	nImages := len(image.labels())
+	textIdx, nSeeds, err := p.graphSplit(len(textLabels))
 	if err != nil {
 		return labelprop.Cuts{}, 0, err
 	}
-	nSeeds, nDev := len(seedIdx), len(devIdx)
+	seedIdx, devIdx := textIdx[:nSeeds], textIdx[nSeeds:]
+	if window <= 0 || window > nImages {
+		window = nImages
+	}
+	textNodes, err := text.fetch(ctx, gSchema, textIdx)
+	if err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: fetch graph seeds: %w", err)
+	}
 
-	nodes := make([]*feature.Vector, 0, nSeeds+nDev+len(imageVecs))
 	seeds := make(map[int]float64, nSeeds)
 	var posSeeds float64
-	for _, ti := range seedIdx {
+	for i, ti := range seedIdx {
 		if textLabels[ti] > 0 {
-			seeds[len(nodes)] = 1
+			seeds[i] = 1
 			posSeeds++
 		} else {
-			seeds[len(nodes)] = 0
+			seeds[i] = 0
 		}
-		nodes = append(nodes, textVecs[ti].Reproject(gSchema))
 	}
-	devStart := len(nodes)
-	for _, ti := range devIdx {
-		nodes = append(nodes, textVecs[ti].Reproject(gSchema))
-	}
-	imageStart := len(nodes)
-	nodes = append(nodes, reprojectAll(imageVecs, gSchema)...)
 
-	scales := feature.FitScales(gSchema, nodes)
+	acc := feature.NewScalesAccum(gSchema)
+	acc.AddMeans(textNodes)
+	if err := image.scan(ctx, gSchema, window, "scales:means", func(vecs []*feature.Vector, _ []int8) error {
+		acc.AddMeans(vecs)
+		return nil
+	}); err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
+	}
+	acc.FinishMeans()
+	acc.AddDevs(textNodes)
+	if err := image.scan(ctx, gSchema, window, "scales:devs", func(vecs []*feature.Vector, _ []int8) error {
+		acc.AddDevs(vecs)
+		return nil
+	}); err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
+	}
+	scales := acc.Scales()
+
 	gcfg := p.opts.Graph
 	gcfg.Seed = p.opts.Seed ^ 0x6a7f
 	gcfg.Workers = p.opts.Workers
@@ -512,37 +600,77 @@ func (p *Pipeline) propagate(ctx context.Context, textVecs []*feature.Vector, te
 		// Learn per-feature edge weights from the seeded labeled nodes so
 		// discriminative features dominate the graph.
 		seedLabels := make([]int8, nSeeds)
-		for si, ti := range seedIdx {
-			seedLabels[si] = textLabels[ti]
+		for i, ti := range seedIdx {
+			seedLabels[i] = textLabels[ti]
 		}
-		weights, werr := FitGraphWeights(nodes[:nSeeds], seedLabels, scales, 20000, p.opts.Seed^0x77)
-		if werr == nil {
+		if weights, werr := FitGraphWeights(textNodes[:nSeeds], seedLabels, scales, 20000, p.opts.Seed^0x77); werr == nil {
 			gcfg.Weights = weights
 		}
 	}
-	graph, err := labelprop.BuildGraph(ctx, gcfg, nodes, scales)
+
+	prior := posSeeds / float64(nSeeds)
+	pcfg := p.opts.Prop
+	pcfg.Prior = prior
+	gctx, gSpan := trace.Start(ctx, "labelprop.build_graph")
+	b, err := labelprop.NewBuilder(gSchema, gcfg, scales)
+	if err != nil {
+		gSpan.End()
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
+	}
+	var res *labelprop.Result
+	pending := textNodes
+	err = image.scan(gctx, gSchema, window, "graph", func(vecs []*feature.Vector, _ []int8) error {
+		if pending != nil {
+			vecs, pending = append(pending, vecs...), nil
+		}
+		if err := b.ApplyDelta(gctx, vecs); err != nil {
+			return err
+		}
+		if warm {
+			var prev []float64
+			if res != nil {
+				prev = res.Scores
+			}
+			next, err := labelprop.PropagateWarm(gctx, b.Graph(), seeds, pcfg, prev)
+			if err != nil {
+				return err
+			}
+			res = next
+		}
+		return nil
+	})
+	if err == nil {
+		err = b.ApplyDelta(gctx, pending) // no image rows in the window
+	}
+	gSpan.SetInt("vertices", int64(b.NumVertices()))
+	gSpan.SetInt("edges", int64(b.Graph().NumEdges()))
+	gSpan.End()
 	if err != nil {
 		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
 	}
-	pcfg := p.opts.Prop
-	pcfg.Prior = posSeeds / float64(nSeeds)
-	res, err := labelprop.Propagate(ctx, graph, seeds, pcfg)
-	if err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: propagate: %w", err)
+	if res == nil {
+		res, err = labelprop.Propagate(ctx, b.Graph(), seeds, pcfg)
+		if err != nil {
+			return labelprop.Cuts{}, 0, fmt.Errorf("core: propagate: %w", err)
+		}
 	}
 
-	devScores := res.Scores[devStart:imageStart]
-	devLabels := make([]int8, nDev)
+	imageStart := len(textIdx)
+	devScores := res.Scores[nSeeds:imageStart]
+	devLabels := make([]int8, len(devIdx))
 	for i, ti := range devIdx {
 		devLabels[i] = textLabels[ti]
 	}
-	cuts, err := p.tunePropCuts(devScores, devLabels, posSeeds/float64(nSeeds), res.Scores[imageStart:])
+	cuts, err := p.tunePropCuts(devScores, devLabels, prior, res.Scores[imageStart:])
 	if err != nil {
 		return labelprop.Cuts{}, 0, err
 	}
-	if err := appendPropLF(matrix, devMatrix, cuts,
-		res.Scores[imageStart:], res.Reached[imageStart:],
-		devIdx, devScores, res.Reached[devStart:imageStart]); err != nil {
+	imageScores := make([]float64, nImages)
+	imagePresent := make([]bool, nImages)
+	copy(imageScores, res.Scores[imageStart:])
+	copy(imagePresent, res.Reached[imageStart:])
+	if err := appendPropLF(matrix, devMatrix, cuts, imageScores, imagePresent,
+		devIdx, devScores, res.Reached[nSeeds:imageStart]); err != nil {
 		return labelprop.Cuts{}, 0, err
 	}
 	return cuts, res.Iters, nil
@@ -693,13 +821,7 @@ func coverageRate(covered []bool) float64 {
 // heavily imbalanced tasks a well-calibrated posterior rarely crosses 0.5
 // even for clear positives, yet a posterior several times the prior is a
 // confident positive call.
-func wsQuality(probs []float64, covered []bool, pts []*synth.Point, prior float64) (precision, recall, f1 float64) {
-	return wsQualityLabels(probs, covered, synth.Labels(pts), prior)
-}
-
-// wsQualityLabels is wsQuality over bare truth labels — the streamed path
-// retains only the hidden labels of the generated points, not the points.
-func wsQualityLabels(probs []float64, covered []bool, labels []int8, prior float64) (precision, recall, f1 float64) {
+func wsQuality(probs []float64, covered []bool, labels []int8, prior float64) (precision, recall, f1 float64) {
 	cut := 0.5
 	if rel := 5 * prior; rel < cut && rel > 0 {
 		cut = rel
@@ -722,11 +844,4 @@ func wsQualityLabels(probs []float64, covered []bool, labels []int8, prior float
 		c.Add(label, pred)
 	}
 	return c.Precision(), c.Recall(), c.F1()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

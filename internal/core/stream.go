@@ -5,15 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/featurestore/disk"
-	"crossmodal/internal/labelprop"
-	"crossmodal/internal/lf"
-	"crossmodal/internal/mapreduce"
-	"crossmodal/internal/metrics"
-	"crossmodal/internal/mining"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/trace"
 )
@@ -190,7 +184,7 @@ func (p *Pipeline) CurateStreamed(ctx context.Context, w *synth.World, task *syn
 		return nil, fmt.Errorf("core: open image store: %w", err)
 	}
 	r := &streamRun{p: p, opts: sopts, text: text, image: image, task: task}
-	sc, err := r.run(ctx, stream)
+	sc, err := r.curate(ctx, stream)
 	if err != nil {
 		text.Close()
 		image.Close()
@@ -221,17 +215,12 @@ func (r *streamRun) hook(stage string, chunk int) error {
 	return nil
 }
 
-func (r *streamRun) run(ctx context.Context, stream *synth.Stream) (*StreamedCuration, error) {
-	timings := make(map[string]time.Duration)
-	stage := func(name string, start time.Time) { timings[name] = time.Since(start) }
-
-	start := time.Now()
+// curate ingests the stream into the stores, then runs the shared
+// weak-supervision stages over them.
+func (r *streamRun) curate(ctx context.Context, stream *synth.Stream) (*StreamedCuration, error) {
 	if err := r.ingest(ctx, stream); err != nil {
 		return nil, err
 	}
-	stage("ingest", start)
-
-	report := Report{Task: r.task.Name, Timings: timings}
 	sc := &StreamedCuration{
 		Text:         r.text,
 		Image:        r.image,
@@ -243,74 +232,13 @@ func (r *streamRun) run(ctx context.Context, stream *synth.Stream) (*StreamedCur
 		task:         r.task,
 		opts:         r.opts,
 	}
-	nImages := r.image.Rows()
-	if !r.p.opts.UseImage {
-		sc.ProbLabels = make([]float64, nImages)
-		sc.Covered = make([]bool, nImages)
-		sc.Report = report
-		return sc, nil
-	}
-
-	lfSchema := r.p.lfSchema()
-	mrCfg := mapreduce.Config{Workers: r.p.opts.Workers}
-
-	start = time.Now()
-	corpus := &storeCorpus{store: r.text, schema: lfSchema, onChunk: func(seq int) error { return r.hook("mine", seq) }}
-	lfs, miningReport, err := mining.MineStream(ctx, mrCfg, r.p.opts.Mining, corpus)
-	if err != nil {
-		return nil, fmt.Errorf("core: mine LFs: %w", err)
-	}
-	stage("lf-generation", start)
-
-	start = time.Now()
-	applyCtx, applySpan := trace.Start(ctx, "lf.apply")
-	devMatrix, err := r.applyChunked(applyCtx, mrCfg, lfs, r.text, lfSchema, "lf-apply:text")
-	if err != nil {
-		applySpan.End()
-		return nil, fmt.Errorf("core: apply LFs to dev: %w", err)
-	}
-	mined := len(lfs)
-	if !r.p.opts.DisableLFDedup {
-		lfs, devMatrix = dedupeLFs(lfs, devMatrix, r.textLabels)
-	}
-	applySpan.Add("lfs_kept", int64(len(lfs)))
-	applySpan.Add("lfs_rejected", int64(mined-len(lfs)))
-	matrix, err := r.applyChunked(applyCtx, mrCfg, lfs, r.image, lfSchema, "lf-apply:image")
-	applySpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: apply LFs: %w", err)
-	}
-	stage("lf-apply", start)
-
-	report.Mining = miningReport
-	report.DevStats = lf.EvaluateAll(devMatrix, r.textLabels)
-
-	if r.p.opts.UseLabelProp {
-		start = time.Now()
-		lpCtx, lpSpan := trace.Start(ctx, "labelprop")
-		cuts, iters, err := r.propagateStreamed(lpCtx, matrix, devMatrix)
-		lpSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		report.Cuts, report.PropIters = cuts, iters
-		stage("label-propagation", start)
-	}
-	report.LFCount = matrix.NumLFs()
-
-	start = time.Now()
-	lmCtx, lmSpan := trace.Start(ctx, "labelmodel")
-	probs, covered, lm, err := r.p.denoise(lmCtx, matrix, devMatrix, r.textLabels)
-	lmSpan.End()
+	text := &storeSource{store: r.text, rowLabels: r.textLabels, hook: r.hook}
+	image := &storeSource{store: r.image, rowLabels: r.imageTruth, hook: r.hook}
+	var err error
+	sc.ProbLabels, sc.Covered, sc.Report, err = r.p.curate(ctx, r.task.Name, text, image, r.opts.GraphWindow, r.opts.WarmPropagate)
 	if err != nil {
 		return nil, err
 	}
-	report.LabelModel = lm
-	stage("label-model", start)
-	report.WSCoverage = coverageRate(covered)
-	report.WSPrecision, report.WSRecall, report.WSF1 = wsQualityLabels(probs, covered, r.imageTruth, metrics.BaseRate(r.textLabels))
-
-	sc.ProbLabels, sc.Covered, sc.Report = probs, covered, report
 	return sc, nil
 }
 
@@ -401,45 +329,29 @@ func (r *streamRun) spill(ctx context.Context, store *disk.Store, ch *synth.Chun
 	return nil
 }
 
-// applyChunked applies LFs to a store's rows chunk by chunk, concatenating
-// the per-chunk vote matrices — identical to one lf.Apply over the whole
-// corpus because votes are per-point.
-func (r *streamRun) applyChunked(ctx context.Context, mrCfg mapreduce.Config, lfs []*lf.LF, store *disk.Store, schema *feature.Schema, stage string) (*lf.Matrix, error) {
-	var matrix *lf.Matrix
-	err := store.ScanChunks(ctx, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
-		m, err := lf.Apply(ctx, mrCfg, lfs, reprojectAll(vecs, schema))
-		if err != nil {
-			return err
-		}
-		if matrix == nil {
-			matrix = m
-		} else {
-			matrix.Votes = append(matrix.Votes, m.Votes...)
-		}
-		return r.hook(stage, seq)
-	})
-	return matrix, err
+// storeSource is a corpus in a disk feature store, scanned chunk by chunk.
+type storeSource struct {
+	store     *disk.Store
+	rowLabels []int8
+	hook      func(stage string, chunk int) error
 }
 
-// scanWindow replays the first window image rows in append order,
-// reprojected into schema.
-func (r *streamRun) scanWindow(ctx context.Context, schema *feature.Schema, window int, stage string, fn func([]*feature.Vector) error) error {
-	if window == 0 {
-		return nil
-	}
+func (s *storeSource) labels() []int8 { return s.rowLabels }
+
+func (s *storeSource) scan(ctx context.Context, schema *feature.Schema, limit int, stage string, fn func([]*feature.Vector, []int8) error) error {
 	seen := 0
-	err := r.image.ScanChunks(ctx, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
-		if take := window - seen; take < len(vecs) {
-			vecs = vecs[:take]
+	err := s.store.ScanChunks(ctx, func(seq int, _ []int, labels []int8, vecs []*feature.Vector) error {
+		if limit > 0 && limit-seen < len(vecs) {
+			vecs, labels = vecs[:limit-seen], labels[:limit-seen]
 		}
 		seen += len(vecs)
-		if err := fn(reprojectAll(vecs, schema)); err != nil {
+		if err := fn(reprojectAll(vecs, schema), labels); err != nil {
 			return err
 		}
-		if err := r.hook(stage, seq); err != nil {
+		if err := s.hook(stage, seq); err != nil {
 			return err
 		}
-		if seen >= window {
+		if limit > 0 && seen >= limit {
 			return errStopScan
 		}
 		return nil
@@ -450,183 +362,19 @@ func (r *streamRun) scanWindow(ctx context.Context, schema *feature.Schema, wind
 	return err
 }
 
-// propagateStreamed is the streaming propagate: seed and dev text nodes are
-// fetched from the store by ID (they are bounded by MaxGraphSeeds and
-// GraphDevNodes), scales are fitted with the chunked accumulator, and the
-// graph grows by one labelprop.Builder delta per image chunk instead of a
-// monolithic build. Node assembly order — seeds, dev, images — matches the
-// in-memory path exactly, and the Builder's delta property makes the chunked
-// graph bit-identical to BuildGraph, so a cold final propagation reproduces
-// the in-memory scores bit for bit.
-func (r *streamRun) propagateStreamed(ctx context.Context, matrix, devMatrix *lf.Matrix) (labelprop.Cuts, int, error) {
-	p := r.p
-	gSchema := p.graphSchema()
-	nText, nImages := r.text.Rows(), r.image.Rows()
-	seedIdx, devIdx, err := p.graphSplit(nText)
+// fetch looks rows up by entity ID, which ingest pins to the row index.
+func (s *storeSource) fetch(ctx context.Context, schema *feature.Schema, idx []int) ([]*feature.Vector, error) {
+	found, err := s.store.Find(ctx, idx)
 	if err != nil {
-		return labelprop.Cuts{}, 0, err
+		return nil, err
 	}
-	window := r.opts.GraphWindow
-	if window <= 0 || window > nImages {
-		window = nImages
-	}
-
-	need := make([]int, 0, len(seedIdx)+len(devIdx))
-	need = append(need, seedIdx...)
-	need = append(need, devIdx...)
-	found, err := r.text.Find(ctx, need)
-	if err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: fetch graph seeds: %w", err)
-	}
-	fetch := func(idx []int) ([]*feature.Vector, error) {
-		out := make([]*feature.Vector, len(idx))
-		for i, ti := range idx {
-			v, ok := found[ti]
-			if !ok {
-				return nil, fmt.Errorf("core: text row %d missing from store", ti)
-			}
-			out[i] = v.Reproject(gSchema)
+	out := make([]*feature.Vector, len(idx))
+	for i, ti := range idx {
+		v, ok := found[ti]
+		if !ok {
+			return nil, fmt.Errorf("core: row %d missing from store", ti)
 		}
-		return out, nil
+		out[i] = v.Reproject(schema)
 	}
-	seedNodes, err := fetch(seedIdx)
-	if err != nil {
-		return labelprop.Cuts{}, 0, err
-	}
-	devNodes, err := fetch(devIdx)
-	if err != nil {
-		return labelprop.Cuts{}, 0, err
-	}
-
-	seeds := make(map[int]float64, len(seedIdx))
-	var posSeeds float64
-	for i, ti := range seedIdx {
-		if r.textLabels[ti] > 0 {
-			seeds[i] = 1
-			posSeeds++
-		} else {
-			seeds[i] = 0
-		}
-	}
-
-	// Scales over the full node list in node order: the chunked accumulator
-	// is bit-identical to feature.FitScales over the assembled nodes.
-	acc := feature.NewScalesAccum(gSchema)
-	acc.AddMeans(seedNodes)
-	acc.AddMeans(devNodes)
-	if err := r.scanWindow(ctx, gSchema, window, "scales:means", func(proj []*feature.Vector) error {
-		acc.AddMeans(proj)
-		return nil
-	}); err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
-	}
-	acc.FinishMeans()
-	acc.AddDevs(seedNodes)
-	acc.AddDevs(devNodes)
-	if err := r.scanWindow(ctx, gSchema, window, "scales:devs", func(proj []*feature.Vector) error {
-		acc.AddDevs(proj)
-		return nil
-	}); err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
-	}
-	scales := acc.Scales()
-
-	gcfg := p.opts.Graph
-	gcfg.Seed = p.opts.Seed ^ 0x6a7f
-	gcfg.Workers = p.opts.Workers
-	if gcfg.Weights == nil && !p.opts.UniformGraphWeights {
-		seedLabels := make([]int8, len(seedIdx))
-		for i, ti := range seedIdx {
-			seedLabels[i] = r.textLabels[ti]
-		}
-		if weights, werr := FitGraphWeights(seedNodes, seedLabels, scales, 20000, p.opts.Seed^0x77); werr == nil {
-			gcfg.Weights = weights
-		}
-	}
-
-	b, err := labelprop.NewBuilder(gSchema, gcfg, scales)
-	if err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
-	}
-	textNodes := make([]*feature.Vector, 0, len(seedNodes)+len(devNodes))
-	textNodes = append(textNodes, seedNodes...)
-	textNodes = append(textNodes, devNodes...)
-	if err := b.ApplyDelta(ctx, textNodes); err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
-	}
-
-	pcfg := p.opts.Prop
-	pcfg.Prior = posSeeds / float64(len(seedIdx))
-	var res *labelprop.Result
-	err = r.scanWindow(ctx, gSchema, window, "graph", func(proj []*feature.Vector) error {
-		if err := b.ApplyDelta(ctx, proj); err != nil {
-			return err
-		}
-		if r.opts.WarmPropagate {
-			var prev []float64
-			if res != nil {
-				prev = res.Scores
-			}
-			warm, werr := labelprop.PropagateWarm(ctx, b.Graph(), seeds, pcfg, prev)
-			if werr != nil {
-				return werr
-			}
-			res = warm
-		}
-		return nil
-	})
-	if err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
-	}
-	if res == nil {
-		res, err = labelprop.Propagate(ctx, b.Graph(), seeds, pcfg)
-		if err != nil {
-			return labelprop.Cuts{}, 0, fmt.Errorf("core: propagate: %w", err)
-		}
-	}
-
-	devStart := len(seedNodes)
-	imageStart := devStart + len(devNodes)
-	devScores := res.Scores[devStart:imageStart]
-	devLabels := make([]int8, len(devIdx))
-	for i, ti := range devIdx {
-		devLabels[i] = r.textLabels[ti]
-	}
-	cuts, err := p.tunePropCuts(devScores, devLabels, posSeeds/float64(len(seedIdx)), res.Scores[imageStart:])
-	if err != nil {
-		return labelprop.Cuts{}, 0, err
-	}
-
-	// Rows past the graph window abstain (zero-valued Present).
-	imageScores := make([]float64, nImages)
-	imagePresent := make([]bool, nImages)
-	copy(imageScores, res.Scores[imageStart:])
-	copy(imagePresent, res.Reached[imageStart:])
-	if err := appendPropLF(matrix, devMatrix, cuts, imageScores, imagePresent,
-		devIdx, devScores, res.Reached[devStart:imageStart]); err != nil {
-		return labelprop.Cuts{}, 0, err
-	}
-	return cuts, res.Iters, nil
-}
-
-// storeCorpus adapts a disk store to mining.Corpus, reprojecting each chunk
-// into the LF feature space.
-type storeCorpus struct {
-	store   *disk.Store
-	schema  *feature.Schema
-	onChunk func(seq int) error
-}
-
-func (c *storeCorpus) Schema() *feature.Schema { return c.schema }
-
-func (c *storeCorpus) Scan(ctx context.Context, fn func([]*feature.Vector, []int8) error) error {
-	return c.store.ScanChunks(ctx, func(seq int, _ []int, labels []int8, vecs []*feature.Vector) error {
-		if err := fn(reprojectAll(vecs, c.schema), labels); err != nil {
-			return err
-		}
-		if c.onChunk != nil {
-			return c.onChunk(seq)
-		}
-		return nil
-	})
+	return out, nil
 }

@@ -116,57 +116,73 @@ func streamedEqual(t *testing.T, got, want *StreamedCuration) {
 // TestCurateStreamedMatchesCurate: the streamed path and the in-memory path
 // must produce bit-identical curations at the same configuration — the
 // package-internal version of the golden gate, comparing every probabilistic
-// label instead of a fingerprint.
+// label instead of a fingerprint — under every ablation both paths share.
 func TestCurateStreamedMatchesCurate(t *testing.T) {
 	_, w, task := streamEnv(t)
-	opts := streamOptions()
-	p := newStreamPipeline(t, opts)
-
 	ds, err := synth.BuildDataset(w, task, streamDSConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := p.Curate(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"no-labelprop", func(o *Options) { o.UseLabelProp = false }},
+		{"majority-vote", func(o *Options) { o.UseGenerative = false }},
+		{"em-label-model", func(o *Options) { o.UseEMLabelModel = true }},
+		{"uniform-graph-weights", func(o *Options) { o.UniformGraphWeights = true }},
+		{"no-lf-dedup", func(o *Options) { o.DisableLFDedup = true }},
+		{"mining-order-2", func(o *Options) { o.Mining.MaxOrder = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := streamOptions()
+			tc.set(&opts)
+			cur, err := newStreamPipeline(t, opts).Curate(context.Background(), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
 
-	sc := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
+			if len(sc.ProbLabels) != len(cur.ProbLabels) {
+				t.Fatalf("prob labels: %d streamed vs %d in-memory", len(sc.ProbLabels), len(cur.ProbLabels))
+			}
+			for i := range cur.ProbLabels {
+				if math.Float64bits(sc.ProbLabels[i]) != math.Float64bits(cur.ProbLabels[i]) {
+					t.Fatalf("prob[%d] = %v streamed vs %v in-memory (bit drift)", i, sc.ProbLabels[i], cur.ProbLabels[i])
+				}
+				if sc.Covered[i] != cur.Covered[i] {
+					t.Fatalf("covered[%d] = %v streamed vs %v in-memory", i, sc.Covered[i], cur.Covered[i])
+				}
+			}
+			if sc.Report.LFCount != cur.Report.LFCount || sc.Report.PropIters != cur.Report.PropIters || sc.Report.Cuts != cur.Report.Cuts {
+				t.Errorf("report drift: lfs %d vs %d, iters %d vs %d, cuts %+v vs %+v",
+					sc.Report.LFCount, cur.Report.LFCount, sc.Report.PropIters, cur.Report.PropIters, sc.Report.Cuts, cur.Report.Cuts)
+			}
+			if sc.Report.WSF1 != cur.Report.WSF1 || sc.Report.WSCoverage != cur.Report.WSCoverage {
+				t.Errorf("ws drift: f1 %v vs %v, coverage %v vs %v",
+					sc.Report.WSF1, cur.Report.WSF1, sc.Report.WSCoverage, cur.Report.WSCoverage)
+			}
+			if tc.name != "default" {
+				return
+			}
 
-	if len(sc.ProbLabels) != len(cur.ProbLabels) {
-		t.Fatalf("prob labels: %d streamed vs %d in-memory", len(sc.ProbLabels), len(cur.ProbLabels))
-	}
-	for i := range cur.ProbLabels {
-		if math.Float64bits(sc.ProbLabels[i]) != math.Float64bits(cur.ProbLabels[i]) {
-			t.Fatalf("prob[%d] = %v streamed vs %v in-memory (bit drift)", i, sc.ProbLabels[i], cur.ProbLabels[i])
-		}
-		if sc.Covered[i] != cur.Covered[i] {
-			t.Fatalf("covered[%d] = %v streamed vs %v in-memory", i, sc.Covered[i], cur.Covered[i])
-		}
-	}
-	if sc.Report.LFCount != cur.Report.LFCount || sc.Report.PropIters != cur.Report.PropIters || sc.Report.Cuts != cur.Report.Cuts {
-		t.Errorf("report drift: lfs %d vs %d, iters %d vs %d, cuts %+v vs %+v",
-			sc.Report.LFCount, cur.Report.LFCount, sc.Report.PropIters, cur.Report.PropIters, sc.Report.Cuts, cur.Report.Cuts)
-	}
-	if sc.Report.WSF1 != cur.Report.WSF1 || sc.Report.WSCoverage != cur.Report.WSCoverage {
-		t.Errorf("ws drift: f1 %v vs %v, coverage %v vs %v",
-			sc.Report.WSF1, cur.Report.WSF1, sc.Report.WSCoverage, cur.Report.WSCoverage)
-	}
-
-	// Materialize must hand back the stored vectors bit-exactly and in order.
-	mat, err := sc.Materialize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mat.TextVecs) != len(cur.TextVecs) || len(mat.ImageVecs) != len(cur.ImageVecs) {
-		t.Fatalf("materialized %d/%d vecs, in-memory %d/%d",
-			len(mat.TextVecs), len(mat.ImageVecs), len(cur.TextVecs), len(cur.ImageVecs))
-	}
-	for i := range cur.TextVecs {
-		if mat.TextVecs[i].String() != cur.TextVecs[i].String() {
-			t.Fatalf("text vec %d drifted through the store:\n  store: %s\n  mem:   %s",
-				i, mat.TextVecs[i], cur.TextVecs[i])
-		}
+			// Materialize must hand back the stored vectors bit-exactly and in order.
+			mat, err := sc.Materialize(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(mat.TextVecs) != len(cur.TextVecs) || len(mat.ImageVecs) != len(cur.ImageVecs) {
+				t.Fatalf("materialized %d/%d vecs, in-memory %d/%d",
+					len(mat.TextVecs), len(mat.ImageVecs), len(cur.TextVecs), len(cur.ImageVecs))
+			}
+			for i := range cur.TextVecs {
+				if mat.TextVecs[i].String() != cur.TextVecs[i].String() {
+					t.Fatalf("text vec %d drifted through the store:\n  store: %s\n  mem:   %s",
+						i, mat.TextVecs[i], cur.TextVecs[i])
+				}
+			}
+		})
 	}
 }
 

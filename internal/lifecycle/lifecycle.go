@@ -69,7 +69,7 @@ type Config struct {
 	// Store is the serving featurestore; the controller taps its served
 	// vectors for feature-drift snapshots.
 	Store *featurestore.Store
-	// Pipe re-mines and retrains candidates (StreamMining should be on).
+	// Pipe re-mines and retrains candidates.
 	Pipe *core.Pipeline
 	// BaseURL is the serving endpoint ("http://127.0.0.1:port").
 	BaseURL string

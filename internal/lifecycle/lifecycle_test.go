@@ -89,7 +89,6 @@ func newEpisode(t *testing.T, o epOpts) *episode {
 		pipeLib = lib
 	}
 	opts := core.DefaultOptions()
-	opts.StreamMining = true
 	opts.Workers = 1
 	opts.Seed = epSeed
 	opts.MaxGraphSeeds = 1200

@@ -15,11 +15,32 @@ import (
 // span in the exported stage tree.
 var requiredStages = []string{"featurize", "mining", "labelprop", "labelmodel", "train", "eval"}
 
+// curationStages are the weak-supervision spans the shared curation stages
+// open, whichever corpus source (in-memory slices or the disk store) they
+// read.
+var curationStages = []string{"mining", "lf.apply", "labelprop", "labelprop.build_graph",
+	"labelprop.apply_delta", "labelprop.propagate", "labelmodel"}
+
+// requireSpans fails the test for each name the tracer did not record.
+func requireSpans(t *testing.T, tr *trace.Tracer, run string, want []string) {
+	t.Helper()
+	names := make(map[string]bool)
+	for _, n := range tr.SpanNames() {
+		names[n] = true
+	}
+	for _, stage := range want {
+		if !names[stage] {
+			t.Errorf("%s trace missing span %q (have %v)", run, stage, tr.SpanNames())
+		}
+	}
+}
+
 // TestGoldenPipelineTraced re-runs the golden pipeline with tracing ENABLED
 // and requires bit-identical results: instrumentation must never consume RNG
 // draws, reorder work, or otherwise perturb the computation. It then checks
 // the captured trace itself — stage coverage, Chrome trace_event validity,
-// and the human-readable summary.
+// and the human-readable summary. The streamed golden run is traced the same
+// way: both curation paths must open the same stage spans.
 func TestGoldenPipelineTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -35,15 +56,8 @@ func TestGoldenPipelineTraced(t *testing.T) {
 	compareGolden(t, got)
 
 	// Stage coverage: every adaptation phase appears as a span.
-	names := make(map[string]bool)
-	for _, n := range tr.SpanNames() {
-		names[n] = true
-	}
-	for _, stage := range requiredStages {
-		if !names[stage] {
-			t.Errorf("trace missing required stage span %q (have %v)", stage, tr.SpanNames())
-		}
-	}
+	requireSpans(t, tr, "in-memory", requiredStages)
+	requireSpans(t, tr, "in-memory", curationStages)
 
 	// The exported Chrome trace must be valid trace_event JSON with complete
 	// events carrying the fields chrome://tracing and Perfetto require.
@@ -93,4 +107,9 @@ func TestGoldenPipelineTraced(t *testing.T) {
 			t.Errorf("summary missing stage %q:\n%s", stage, summary)
 		}
 	}
+
+	streamed := trace.New()
+	trace.SetDefault(streamed)
+	compareGolden(t, runGoldenPipelineStreamed(t, context.Background(), t.TempDir(), 256))
+	requireSpans(t, streamed, "streamed", curationStages)
 }
